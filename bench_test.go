@@ -16,17 +16,13 @@ import (
 
 	"repro/internal/apriori"
 	"repro/internal/bitset"
-	"repro/internal/carpenter"
-	"repro/internal/charm"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/itemset"
-	"repro/internal/maximal"
 	"repro/internal/quality"
 	"repro/internal/rng"
 	"repro/internal/tidset"
-	"repro/internal/topk"
 )
 
 // Shared heavyweight fixtures, built once.
@@ -48,7 +44,7 @@ func replaceFixture(b *testing.B) (*dataset.Dataset, []itemset.Itemset, []itemse
 	b.Helper()
 	replaceOnce.Do(func() {
 		replaceDB, replacePaths = datagen.Replace(1)
-		res := charm.Mine(replaceDB, replaceDB.MinCount(0.03))
+		res := mineReport(b, "closed", replaceDB, patternfusion.Options{MinCount: replaceDB.MinCount(0.03)})
 		replaceClosed = dataset.Itemsets(res.Patterns)
 	})
 	return replaceDB, replacePaths, replaceClosed
@@ -60,17 +56,29 @@ func seqReplaceFixture(b *testing.B) *dataset.Dataset {
 	b.Helper()
 	seqReplaceOnce.Do(func() {
 		rows, _ := datagen.ReplaceSequences(1)
-		seqReplaceDB = dataset.MustNew(rows)
-		seqReplaceDB.SetSequences(rows)
+		var err error
+		if seqReplaceDB, err = patternfusion.NewSequences(rows); err != nil {
+			b.Fatal(err)
+		}
 	})
 	return seqReplaceDB
+}
+
+// mineReport runs the named registered miner on d to completion.
+func mineReport(b *testing.B, name string, d *dataset.Dataset, opts patternfusion.Options) *patternfusion.Report {
+	b.Helper()
+	rep, err := patternfusion.MineWith(context.Background(), name, d, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
 }
 
 func microFixture(b *testing.B) (*dataset.Dataset, []*dataset.Pattern) {
 	b.Helper()
 	microOnce.Do(func() {
 		microDB, _ = datagen.Microarray(1)
-		microTop = carpenter.Mine(microDB, 30, 70).Patterns
+		microTop = mineReport(b, "closedrows", microDB, patternfusion.Options{MinCount: 30, MinSize: 70}).Patterns
 	})
 	return microDB, microTop
 }
@@ -111,7 +119,7 @@ func BenchmarkFig6MaximalDiag(b *testing.B) {
 		b.Run(byN(n), func(b *testing.B) {
 			d := datagen.Diag(n)
 			for i := 0; i < b.N; i++ {
-				res := maximal.Mine(d, n/2)
+				res := mineReport(b, "maximal", d, patternfusion.Options{MinCount: n / 2})
 				if res.Stopped {
 					b.Fatal("unexpected stop")
 				}
@@ -263,7 +271,7 @@ func BenchmarkFig10MaximalALL(b *testing.B) {
 	for _, mc := range []int{31, 30, 29} {
 		b.Run(byMinCount(mc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				maximal.Mine(d, mc)
+				mineReport(b, "maximal", d, patternfusion.Options{MinCount: mc})
 			}
 		})
 	}
@@ -274,7 +282,7 @@ func BenchmarkFig10TopKALL(b *testing.B) {
 	for _, mc := range []int{31, 28, 25} {
 		b.Run(byMinCount(mc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				topk.MineOpts(context.Background(), d, topk.Options{K: 5000, MinLength: 5, FloorMin: mc})
+				mineReport(b, "topk", d, patternfusion.Options{K: 5000, MinSize: 5, MinCount: mc})
 			}
 		})
 	}
@@ -528,7 +536,7 @@ func BenchmarkEngineTopKMicroarray(b *testing.B) {
 // of dense word-walks and sparse element-walks, exactly as charm sees it.
 func BenchmarkEngineCharmClosureProbe(b *testing.B) {
 	d, _, _ := replaceFixture(b)
-	pats := charm.Mine(d, d.MinCount(0.03)).Patterns
+	pats := mineReport(b, "closed", d, patternfusion.Options{MinCount: d.MinCount(0.03)}).Patterns
 	closer := dataset.NewCloser(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -646,7 +654,7 @@ func BenchmarkAprioriInitPoolReplace(b *testing.B) {
 	minCount := d.MinCount(0.03)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		apriori.MineUpTo(d, minCount, 2)
+		apriori.MineOpts(context.Background(), d, apriori.Options{MinCount: minCount, MaxSize: 2})
 	}
 }
 
@@ -655,7 +663,7 @@ func BenchmarkClosedMinerReplace(b *testing.B) {
 	minCount := d.MinCount(0.03)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		charm.Mine(d, minCount)
+		mineReport(b, "closed", d, patternfusion.Options{MinCount: minCount})
 	}
 }
 
@@ -663,7 +671,7 @@ func BenchmarkCarpenterMicroarray(b *testing.B) {
 	d, _ := microFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		carpenter.Mine(d, 30, 70)
+		mineReport(b, "closedrows", d, patternfusion.Options{MinCount: 30, MinSize: 70})
 	}
 }
 

@@ -33,10 +33,10 @@
 //
 // # The unified engine
 //
-// Every algorithm in the repository — Pattern-Fusion and the seven exact
-// baselines — implements one interface (Engine: Name plus
-// Mine(ctx, dataset, Options)) and registers itself by name, so any of
-// them can be run uniformly:
+// Every algorithm in the repository — Pattern-Fusion, the seven exact
+// baselines and the sequence miner — implements one interface (Engine:
+// Name plus Mine(ctx, dataset, Options)) and registers itself by name,
+// so any of them can be run uniformly:
 //
 //	rep, err := patternfusion.MineWith(ctx, "maximal", db,
 //		patternfusion.Options{MinSupport: 0.5})
@@ -77,12 +77,13 @@
 //
 // Because the paper's evaluation needs complete miners as baselines and
 // ground truth, the library also ships exact miners behind the same
-// Dataset type: MineFrequent (Apriori), MineFrequentFP (FP-growth),
-// MineFrequentEclat (Eclat), MineClosed (item enumeration), MineClosedRows
-// (CARPENTER-style row enumeration for long microarray-shaped data),
-// MineMaximal (LCM_maximal stand-in) and MineTopK (TFP stand-in) — plus
-// the quality evaluation model (Evaluate, Delta) and the paper's dataset
-// generators (Diag, DiagPlus, ReplaceSim, MicroarraySim).
+// Dataset type, each run through MineWith by its registry name:
+// "apriori", "fpgrowth", "eclat", "closed" (item enumeration),
+// "closedrows" (CARPENTER-style row enumeration for long
+// microarray-shaped data), "maximal" (LCM_maximal stand-in) and "topk"
+// (TFP stand-in) — plus the sequence miner "seqfusion" (NewSequences,
+// SeqFusion), the quality evaluation model (Evaluate, Delta) and the
+// paper's dataset generators (Diag, DiagPlus, ReplaceSim, MicroarraySim).
 //
 // Every experiment of the paper (Figures 6–10 and the motivating example)
 // can be regenerated with cmd/pfexp or the benchmarks in bench_test.go;

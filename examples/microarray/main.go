@@ -38,7 +38,12 @@ func main() {
 	// computable by row enumeration even though the full frequent set is
 	// hopeless.
 	t0 := time.Now()
-	complete := patternfusion.MineClosedRows(db, minCount, minSize)
+	rep, err := patternfusion.MineWith(context.Background(), "closedrows", db,
+		patternfusion.Options{MinCount: minCount, MinSize: minSize})
+	if err != nil {
+		log.Fatal(err)
+	}
+	complete := rep.Patterns
 	fmt.Printf("ground truth: %d colossal closed patterns (size ≥ %d) in %v\n",
 		len(complete), minSize, time.Since(t0).Round(time.Millisecond))
 

@@ -45,7 +45,11 @@ func main() {
 
 	// The database is tiny, so the exact closed miner can verify that the
 	// colossal pattern is real and that nothing bigger was missed.
-	closed := patternfusion.MineClosed(db, db.MinCount(0.15))
+	rep, err := patternfusion.MineWith(context.Background(), "closed", db, patternfusion.Options{MinSupport: 0.15})
+	if err != nil {
+		log.Fatal(err)
+	}
+	closed := rep.Patterns
 	biggest := 0
 	for _, p := range closed {
 		if p.Size() > biggest {

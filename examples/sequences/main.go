@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -38,9 +39,9 @@ func main() {
 	}
 
 	r := rng.New(2)
-	var clickstreams []patternfusion.Sequence
+	var clickstreams [][]int
 	for i := 0; i < sessions; i++ {
-		var s patternfusion.Sequence
+		var s []int
 		if r.Float64() < 0.4 {
 			// A funnel session: every step in order, browsing in between.
 			for _, step := range funnel {
@@ -57,27 +58,34 @@ func main() {
 		clickstreams = append(clickstreams, s)
 	}
 
-	db, err := patternfusion.NewSeqDataset(clickstreams)
+	db, err := patternfusion.NewSequences(clickstreams)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("clickstream database: %d sessions, %d event types\n", db.Size(), db.NumEvents())
-	fmt.Printf("planted funnel: %v (support %d)\n\n", funnel, db.SupportCount(funnel))
+	support := 0
+	for _, s := range clickstreams {
+		if funnel.IsSubsequenceOf(s) {
+			support++
+		}
+	}
+	fmt.Printf("clickstream database: %d sessions, %d event types\n", db.Size(), db.NumItems())
+	fmt.Printf("planted funnel: %v (support %d)\n\n", funnel, support)
 
-	cfg := patternfusion.DefaultSeqConfig(8, 100)
 	t0 := time.Now()
-	res, err := patternfusion.MineSequences(db, cfg)
+	rep, err := patternfusion.MineWith(context.Background(), patternfusion.SeqFusion, db,
+		patternfusion.Options{K: 8, MinCount: 100})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("sequence Pattern-Fusion: %d patterns from a pool of %d in %v\n",
-		len(res.Patterns), res.InitPoolSize, time.Since(t0).Round(time.Millisecond))
+		len(rep.Patterns), rep.InitPoolSize, time.Since(t0).Round(time.Millisecond))
 
-	for _, p := range res.Patterns {
+	for _, p := range rep.Patterns {
+		s := patternfusion.Sequence(p.Items)
 		marker := ""
-		if p.Seq.Equal(funnel) {
+		if s.Equal(funnel) {
 			marker = "   ← the colossal checkout funnel"
 		}
-		fmt.Printf("  len=%2d support=%3d  %v%s\n", len(p.Seq), p.Support(), p.Seq, marker)
+		fmt.Printf("  len=%2d support=%3d  %v%s\n", len(s), p.Support(), s, marker)
 	}
 }

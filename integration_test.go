@@ -33,7 +33,7 @@ func TestPipelineGenerateSaveLoadMineEvaluate(t *testing.T) {
 
 	// The exact closed set is the ground truth at this scale.
 	minCount := 8
-	closed := patternfusion.MineClosed(loaded, minCount)
+	closed := mine(t, "closed", loaded, patternfusion.Options{MinCount: minCount})
 	if len(closed) == 0 {
 		t.Fatal("no closed patterns")
 	}
@@ -89,16 +89,17 @@ func TestAllMinersAgreeOnColossal(t *testing.T) {
 		}
 		return false
 	}
-	if !contains(patternfusion.MineClosed(db, minCount)) {
+	at := patternfusion.Options{MinCount: minCount}
+	if !contains(mine(t, "closed", db, at)) {
 		t.Error("closed miner missed the colossal pattern")
 	}
-	if !contains(patternfusion.MineClosedRows(db, minCount, 0)) {
+	if !contains(mine(t, "closedrows", db, at)) {
 		t.Error("row-enumeration miner missed the colossal pattern")
 	}
-	if !contains(patternfusion.MineMaximal(db, minCount)) {
+	if !contains(mine(t, "maximal", db, at)) {
 		t.Error("maximal miner missed the colossal pattern")
 	}
-	if !contains(patternfusion.MineTopK(db, 3, 10)) {
+	if !contains(mine(t, "topk", db, patternfusion.Options{K: 3, MinSize: 10})) {
 		t.Error("top-k miner missed the colossal pattern")
 	}
 	cfg := patternfusion.DefaultConfig(10, 0)
@@ -116,7 +117,7 @@ func TestQualityModelOrdersMinersSanely(t *testing.T) {
 	// The complete closed set approximates itself perfectly; a truncated
 	// result approximates it strictly worse once real patterns are dropped.
 	db := patternfusion.RandomDB(11, 40, 10, 0.4)
-	closed := patternfusion.Itemsets(patternfusion.MineClosed(db, 4))
+	closed := patternfusion.Itemsets(mine(t, "closed", db, patternfusion.Options{MinCount: 4}))
 	if len(closed) < 8 {
 		t.Skip("random database too sparse for this seed")
 	}

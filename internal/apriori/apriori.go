@@ -6,7 +6,7 @@
 // structural role in the reproduction: phase 1 of Pattern-Fusion assumes
 // "an initial pool of small frequent patterns, which is the complete set of
 // frequent patterns up to a small size, e.g., 3" (Section 2.3) — that pool
-// is mined here with MineUpTo.
+// is mined here: core calls MineOpts with Options.MaxSize set.
 //
 // Support counting uses the dataset's vertical representation: the tidset of
 // a (k)-candidate is the intersection of a (k−1)-parent's tidset with one
@@ -49,21 +49,15 @@ type Result struct {
 	Stopped  bool               // true if the run was canceled before completion
 }
 
-// Mine returns the complete set of frequent patterns of d with support
-// count at least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineUpTo returns the complete set of frequent patterns of size at most
-// maxSize — the Pattern-Fusion initial pool.
-func MineUpTo(d *dataset.Dataset, minCount, maxSize int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount, MaxSize: maxSize})
-}
-
 // MineOpts runs Apriori under the given options. Cancellation is polled on
 // ctx once per level; a canceled run returns the levels completed so far
 // with Stopped=true.
+//
+// It is the one miner entry point besides the engine registry, kept
+// exported for Pattern-Fusion's phase 1 (core.Mine): fusion draws its
+// seeds by pool index, so the pool must keep the level order emitted
+// here. The registry's "apriori" run sorts its report largest first,
+// which would reorder the pool and change every fusion result.
 func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
 	if opts.MinCount < 1 {
 		opts.MinCount = 1

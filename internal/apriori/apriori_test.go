@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datagen"
@@ -22,7 +23,7 @@ func smallDB(t *testing.T) *dataset.Dataset {
 
 func TestMineCompleteSmall(t *testing.T) {
 	d := smallDB(t)
-	res := Mine(d, 2)
+	res := MineOpts(context.Background(), d, Options{MinCount: 2})
 	got, noDup := minertest.PatternsToMap(res.Patterns)
 	if !noDup {
 		t.Fatal("duplicate patterns in Apriori output")
@@ -40,7 +41,7 @@ func TestMineAgainstBruteForceRandom(t *testing.T) {
 		numItems := 3 + r.Intn(8)
 		d := datagen.Random(r.Split(), numTxns, numItems, 0.4)
 		minCount := 1 + r.Intn(4)
-		res := Mine(d, minCount)
+		res := MineOpts(context.Background(), d, Options{MinCount: minCount})
 		got, noDup := minertest.PatternsToMap(res.Patterns)
 		if !noDup {
 			t.Fatalf("trial %d: duplicates", trial)
@@ -55,7 +56,7 @@ func TestMineAgainstBruteForceRandom(t *testing.T) {
 
 func TestMineUpToBoundsSize(t *testing.T) {
 	d := smallDB(t)
-	res := MineUpTo(d, 1, 2)
+	res := MineOpts(context.Background(), d, Options{MinCount: 1, MaxSize: 2})
 	for _, p := range res.Patterns {
 		if len(p.Items) > 2 {
 			t.Fatalf("pattern %v exceeds MaxSize", p.Items)
@@ -79,7 +80,7 @@ func TestInitialPoolSizeDiag40(t *testing.T) {
 	// 820 patterns of size ≤ 2" on Diag40 with support count 20. Indeed:
 	// 40 singletons + C(40,2) = 820, all with support ≥ 38 ≥ 20.
 	d := datagen.Diag(40)
-	res := MineUpTo(d, 20, 2)
+	res := MineOpts(context.Background(), d, Options{MinCount: 20, MaxSize: 2})
 	if len(res.Patterns) != 820 {
 		t.Fatalf("Diag40 initial pool = %d patterns, want 820", len(res.Patterns))
 	}
@@ -87,7 +88,7 @@ func TestInitialPoolSizeDiag40(t *testing.T) {
 
 func TestLevelsAccounting(t *testing.T) {
 	d := smallDB(t)
-	res := Mine(d, 2)
+	res := MineOpts(context.Background(), d, Options{MinCount: 2})
 	total := 0
 	for k, n := range res.Levels {
 		total += n
@@ -106,7 +107,7 @@ func TestLevelsAccounting(t *testing.T) {
 func TestDownwardClosure(t *testing.T) {
 	r := rng.New(7)
 	d := datagen.Random(r, 30, 8, 0.5)
-	res := Mine(d, 3)
+	res := MineOpts(context.Background(), d, Options{MinCount: 3})
 	index, _ := minertest.PatternsToMap(res.Patterns)
 	for _, p := range res.Patterns {
 		for _, drop := range p.Items {
@@ -124,7 +125,7 @@ func TestDownwardClosure(t *testing.T) {
 func TestSupportSetsAreExact(t *testing.T) {
 	r := rng.New(8)
 	d := datagen.Random(r, 40, 7, 0.45)
-	for _, p := range Mine(d, 2).Patterns {
+	for _, p := range MineOpts(context.Background(), d, Options{MinCount: 2}).Patterns {
 		if !p.TIDs.Equal(d.TIDSet(p.Items)) {
 			t.Fatalf("pattern %v carries wrong tidset", p.Items)
 		}
@@ -133,15 +134,15 @@ func TestSupportSetsAreExact(t *testing.T) {
 
 func TestEmptyAndDegenerate(t *testing.T) {
 	d := dataset.MustNew(nil)
-	if got := Mine(d, 1).Patterns; len(got) != 0 {
+	if got := MineOpts(context.Background(), d, Options{MinCount: 1}).Patterns; len(got) != 0 {
 		t.Fatalf("empty dataset yielded %d patterns", len(got))
 	}
 	d2 := dataset.MustNew([][]int{{}, {}})
-	if got := Mine(d2, 1).Patterns; len(got) != 0 {
+	if got := MineOpts(context.Background(), d2, Options{MinCount: 1}).Patterns; len(got) != 0 {
 		t.Fatalf("all-empty transactions yielded %d patterns", len(got))
 	}
 	d3 := dataset.MustNew([][]int{{5}})
-	got := Mine(d3, 1).Patterns
+	got := MineOpts(context.Background(), d3, Options{MinCount: 1}).Patterns
 	if len(got) != 1 || !got[0].Items.Equal(itemset.Itemset{5}) {
 		t.Fatalf("single-item dataset mined %v", got)
 	}
@@ -149,8 +150,8 @@ func TestEmptyAndDegenerate(t *testing.T) {
 
 func TestMinCountBelowOneTreatedAsOne(t *testing.T) {
 	d := smallDB(t)
-	a := Mine(d, 0)
-	b := Mine(d, 1)
+	a := MineOpts(context.Background(), d, Options{MinCount: 0})
+	b := MineOpts(context.Background(), d, Options{MinCount: 1})
 	if len(a.Patterns) != len(b.Patterns) {
 		t.Fatal("minCount 0 and 1 differ")
 	}

@@ -64,21 +64,15 @@ type Result struct {
 	Stopped  bool
 }
 
-// Mine returns all closed frequent patterns of d with support count at
-// least minCount and size at least minSize.
-func Mine(d *dataset.Dataset, minCount, minSize int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount, MinSize: minSize})
-}
-
-// MineOpts runs the row-enumeration miner under the given options.
+// mineOpts runs the row-enumeration miner under the given options.
 // Cancellation is polled on ctx at every search node; a canceled run
 // returns the patterns found so far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
+func mineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
 	return mineRange(ctx, d, opts, 0, -1)
 }
 
 // mineRange mines the dispatcher's frontier tasks [lo, hi); hi < 0
-// selects all of them. It backs both MineOpts and the engine.Sharder
+// selects all of them. It backs both mineOpts and the engine.Sharder
 // adapter. Every range replays the deterministic dispatcher expansion to
 // rebuild the task list, but the dispatcher's own output — the
 // above-frontier patterns and visit counts — belongs to the lo == 0

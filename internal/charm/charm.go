@@ -53,21 +53,15 @@ type Result struct {
 	Stopped  bool               // true if the run was canceled before completion
 }
 
-// Mine returns all closed frequent patterns of d with support count at
-// least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineOpts runs the closed miner under the given options. Cancellation is
+// mineOpts runs the closed miner under the given options. Cancellation is
 // polled on ctx at every search node; a canceled run returns the patterns
 // found so far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
+func mineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
 	return mineRange(ctx, d, opts, 0, -1)
 }
 
 // mineRange mines the root-closure extension items [lo, hi); hi < 0
-// selects all of them. It backs both MineOpts and the engine.Sharder
+// selects all of them. It backs both mineOpts and the engine.Sharder
 // adapter. The root extend node (its visit count and the root closure's
 // emission) belongs to the lo == 0 range only, so shard counters and
 // patterns sum to the single-node run.

@@ -32,7 +32,7 @@ func TestBallPruningMatchesNaiveDistance(t *testing.T) {
 			txns[i] = row
 		}
 		d := dataset.MustNew(txns)
-		pool := apriori.MineUpTo(d, 1+r.Intn(3), 2).Patterns
+		pool := apriori.MineOpts(context.Background(), d, apriori.Options{MinCount: 1 + r.Intn(3), MaxSize: 2}).Patterns
 		if len(pool) < 2 {
 			continue
 		}
@@ -167,7 +167,7 @@ func TestResultGoldenBitIdentical(t *testing.T) {
 // between calls through the reused buffers.
 func TestFuseScratchIsolation(t *testing.T) {
 	d := datagen.Diag(20)
-	pool := apriori.MineUpTo(d, 10, 2).Patterns
+	pool := apriori.MineOpts(context.Background(), d, apriori.Options{MinCount: 10, MaxSize: 2}).Patterns
 	for _, p := range pool {
 		p.EnsureSupport()
 	}

@@ -98,7 +98,7 @@ func TestCancellationMidStep(t *testing.T) {
 	d := datagen.Diag(30)
 	// Pre-mine the initial pool so cancellation bites in fusion, not while
 	// phase 1 is still running.
-	pool := apriori.MineUpTo(d, 15, 2).Patterns
+	pool := apriori.MineOpts(context.Background(), d, apriori.Options{MinCount: 15, MaxSize: 2}).Patterns
 	for _, par := range []int{1, 4} {
 		cfg := DefaultConfig(20, 0)
 		cfg.MinCount = 15

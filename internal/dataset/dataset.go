@@ -284,8 +284,8 @@ func (c *Closer) Closure(tids *tidset.Set) itemset.Itemset {
 
 // SetSequences attaches an order-preserving view of the rows: rows[i] is
 // transaction i's events in source order, repeats kept. It is set by the
-// builders of sequence data (the ingest "seq" format, the sequence test
-// fixtures) immediately after construction — the one mutation the
+// builders of sequence data (the ingest "seq" format, NewSequences)
+// immediately after construction — the one mutation the
 // otherwise-immutable Dataset allows — and read by the sequence miner.
 // The caller contract: len(rows) == Size(), and the distinct events of
 // rows[i] equal Transaction(i), so the itemset view (supports, TID-sets,
@@ -295,6 +295,23 @@ func (d *Dataset) SetSequences(rows [][]int) {
 		panic(fmt.Sprintf("dataset: %d sequence rows for %d transactions", len(rows), len(d.transactions)))
 	}
 	d.seqs = rows
+}
+
+// NewSequences builds a Dataset over ordered rows: the itemset view is
+// New(rows) and the ordered view (Sequences) is a private deep copy of
+// rows, so the caller may reuse its slices afterwards. Event IDs must be
+// non-negative.
+func NewSequences(rows [][]int) (*Dataset, error) {
+	d, err := New(rows)
+	if err != nil {
+		return nil, err
+	}
+	seqs := make([][]int, len(rows))
+	for i, r := range rows {
+		seqs[i] = append([]int(nil), r...)
+	}
+	d.SetSequences(seqs)
+	return d, nil
 }
 
 // Sequences returns the ordered row view attached by SetSequences, or nil

@@ -51,6 +51,24 @@ func TestNewRejectsNegativeItems(t *testing.T) {
 	}
 }
 
+func TestNewSequences(t *testing.T) {
+	if _, err := NewSequences([][]int{{1, -2}}); err == nil {
+		t.Fatal("negative event accepted")
+	}
+	rows := [][]int{{3, 1, 3}, {2, 1}}
+	d, err := NewSequences(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Transaction(0).Equal(itemset.Itemset{1, 3}) {
+		t.Fatalf("itemset view = %v, want (1 3)", d.Transaction(0))
+	}
+	rows[0][0] = 9 // the ordered view must not alias the caller's rows
+	if got := d.Sequences()[0]; len(got) != 3 || got[0] != 3 || got[1] != 1 || got[2] != 3 {
+		t.Fatalf("ordered view = %v, want [3 1 3]", got)
+	}
+}
+
 func TestEmptyDataset(t *testing.T) {
 	d := MustNew(nil)
 	if d.Size() != 0 || d.NumItems() != 0 {

@@ -21,7 +21,7 @@ func (algorithm) Name() string { return Name }
 // mined on Options.Parallelism workers.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{MaxSize: true}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, minerOptions(d, opts))
+		res := mineOpts(ctx, d, minerOptions(d, opts))
 		return &engine.Report{Patterns: res.Patterns, Stopped: res.Stopped}, nil
 	})
 }

@@ -37,21 +37,15 @@ type Result struct {
 	Stopped  bool
 }
 
-// Mine returns the complete set of frequent patterns of d with support
-// count at least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineOpts runs Eclat under the given options. Cancellation is polled on
+// mineOpts runs Eclat under the given options. Cancellation is polled on
 // ctx at every search node; a canceled run returns the patterns found so
 // far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
+func mineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
 	return mineRange(ctx, d, opts, 0, -1)
 }
 
 // mineRange mines the first-level class members [lo, hi); hi < 0 selects
-// the full class. It backs both MineOpts and the engine.Sharder adapter:
+// the full class. It backs both mineOpts and the engine.Sharder adapter:
 // patterns are emitted in task order, so concatenating consecutive
 // ranges reproduces the full run byte for byte.
 func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) *Result {

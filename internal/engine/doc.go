@@ -2,16 +2,23 @@
 // this repository implements, and the process-wide registry that makes
 // them addressable by name.
 //
-// The repository ships eight miners — Pattern-Fusion (the paper's
-// contribution) and the seven exact baselines its evaluation compares
-// against (Section 6). Before this package each had its own entry
-// signature, its own ad-hoc cancellation hook, and a hand-rolled dispatch
-// switch in every caller. The engine collapses that to one contract:
+// The repository ships nine miners — Pattern-Fusion (the paper's
+// contribution), the seven exact baselines its evaluation compares
+// against (Section 6), and seqfusion, Pattern-Fusion over sequences (the
+// paper's Section 8 direction). Before this package each had its own
+// entry signature, its own ad-hoc cancellation hook, and a hand-rolled
+// dispatch switch in every caller. The engine collapses that to one
+// contract:
 //
 //	type Algorithm interface {
 //		Name() string
 //		Mine(ctx context.Context, d *dataset.Dataset, opts Options) (*Report, error)
 //	}
+//
+// Outside the miner packages it is the only way to run the exact
+// baselines and seqfusion. The one bypass is apriori.MineOpts, which
+// Pattern-Fusion's typed entry point core.Mine calls for phase 1 so the
+// pool keeps Apriori's level order.
 //
 // Cancellation is context-first: every miner polls ctx at its natural
 // cadence (once per fusion seed, per Apriori level, per DFS node) and
@@ -24,9 +31,9 @@
 //
 // Miner packages register an adapter from init, keyed by the historical
 // CLI names: "fusion" (core), "apriori", "fpgrowth", "eclat", "closed"
-// (charm), "closedrows" (carpenter), "maximal", "topk". Importing
-// repro/internal/engine/all (blank import) pulls in all eight; Get, Names
-// and All look them up. cmd/pfmine iterates the registry for dispatch and
+// (charm), "closedrows" (carpenter), "maximal", "topk", plus
+// "seqfusion". Importing repro/internal/engine/all (blank import) pulls
+// in all nine; Get, Names and All look them up. cmd/pfmine iterates the registry for dispatch and
 // help text, and cmd/pfserve exposes every registered algorithm over
 // HTTP, so a new miner becomes reachable everywhere by registering.
 //
@@ -46,7 +53,7 @@
 //
 // A Report is a pure function of (algorithm, dataset, Options): no
 // timestamps, no scheduling artifacts. The fusion engine's founding
-// bit-identical-across-Parallelism guarantee now extends to all eight
+// bit-identical-across-Parallelism guarantee now extends to all nine
 // algorithms: each task's output is a pure function of the task, outputs
 // merge in canonical task order (never completion order), and any
 // cross-task reconciliation — maximal's subsumption filter, topk's

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/maximal"
 	"repro/internal/quality"
@@ -28,14 +29,21 @@ import (
 	"repro/internal/topk"
 )
 
-// budgetContext returns a Context enforcing a time budget, plus its cancel
-// func (which must be called to release the deadline timer). A zero budget
-// never cancels.
-func budgetContext(budget time.Duration) (context.Context, context.CancelFunc) {
-	if budget <= 0 {
-		return context.Background(), func() {}
+// runMiner runs the named registered miner on d under a time budget; a
+// zero budget never cancels. A run that hits the budget returns its
+// partial report with Stopped set.
+func runMiner(name string, d *dataset.Dataset, opts engine.Options, budget time.Duration) (*engine.Report, error) {
+	alg, err := engine.Get(name)
+	if err != nil {
+		return nil, err
 	}
-	return context.WithTimeout(context.Background(), budget)
+	ctx := context.Background()
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
+	return alg.Mine(ctx, d, opts)
 }
 
 // corePar maps an experiment-level Parallelism value to the one handed to
@@ -130,9 +138,10 @@ func Intro(budget time.Duration, seed uint64, parallelism int) (*IntroResult, er
 	res := &IntroResult{}
 
 	t0 := time.Now()
-	mctx, mcancel := budgetContext(budget)
-	mres := maximal.MineOpts(mctx, d, maximal.Options{MinCount: 20})
-	mcancel()
+	mres, err := runMiner(maximal.Name, d, engine.Options{MinCount: 20}, budget)
+	if err != nil {
+		return nil, err
+	}
 	res.MaximalTime = time.Since(t0)
 	res.MaximalTimedOut = mres.Stopped
 	res.MaximalFound = len(mres.Patterns)
@@ -210,9 +219,10 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 		row := Fig6Row{N: n}
 
 		t0 := time.Now()
-		mctx, mcancel := budgetContext(cfg.Budget)
-		mres := maximal.MineOpts(mctx, d, maximal.Options{MinCount: minCount})
-		mcancel()
+		mres, err := runMiner(maximal.Name, d, engine.Options{MinCount: minCount}, cfg.Budget)
+		if err != nil {
+			return err
+		}
 		row.MaximalTime = time.Since(t0)
 		row.MaximalOut = mres.Stopped
 		row.MaximalFound = len(mres.Patterns)
@@ -379,9 +389,10 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 	d, paths := datagen.Replace(cfg.Seed)
 	minCount := d.MinCount(cfg.Sigma)
 
-	cctx, ccancel := budgetContext(cfg.Budget)
-	closed := charm.MineOpts(cctx, d, charm.Options{MinCount: minCount})
-	ccancel()
+	closed, err := runMiner(charm.Name, d, engine.Options{MinCount: minCount}, cfg.Budget)
+	if err != nil {
+		return nil, err
+	}
 	if closed.Stopped {
 		return nil, fmt.Errorf("fig8: complete closed mining exceeded budget with %d patterns", len(closed.Patterns))
 	}
@@ -394,7 +405,7 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		initPool int
 	}
 	cells := make([]cell, len(cfg.Ks))
-	err := forEachCell(cfg.Parallelism, len(cfg.Ks), func(i int) error {
+	err = forEachCell(cfg.Parallelism, len(cfg.Ks), func(i int) error {
 		k := cfg.Ks[i]
 		pf := core.DefaultConfig(k, cfg.Sigma)
 		pf.InitPoolMaxSize = 3
@@ -484,7 +495,10 @@ func DefaultFig9Config() Fig9Config {
 // Fig9 runs the microarray comparison.
 func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 	d, _ := datagen.Microarray(cfg.Seed)
-	complete := carpenter.Mine(d, cfg.MinCount, cfg.MinSize)
+	complete, err := runMiner(carpenter.Name, d, engine.Options{MinCount: cfg.MinCount, MinSize: cfg.MinSize}, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	pf := core.DefaultConfig(cfg.K, 0)
 	pf.MinCount = cfg.MinCount
@@ -583,16 +597,18 @@ func Fig10(cfg Fig10Config) ([]Fig10Row, error) {
 		row := Fig10Row{MinCount: mc}
 
 		t0 := time.Now()
-		mctx, mcancel := budgetContext(cfg.Budget)
-		mres := maximal.MineOpts(mctx, d, maximal.Options{MinCount: mc})
-		mcancel()
+		mres, err := runMiner(maximal.Name, d, engine.Options{MinCount: mc}, cfg.Budget)
+		if err != nil {
+			return err
+		}
 		row.MaximalTime = time.Since(t0)
 		row.MaximalOut = mres.Stopped
 
 		t0 = time.Now()
-		tctx, tcancel := budgetContext(cfg.Budget)
-		tres := topk.MineOpts(tctx, d, topk.Options{K: cfg.TopKK, MinLength: cfg.TopKMinL, FloorMin: mc})
-		tcancel()
+		tres, err := runMiner(topk.Name, d, engine.Options{K: cfg.TopKK, MinSize: cfg.TopKMinL, MinCount: mc}, cfg.Budget)
+		if err != nil {
+			return err
+		}
 		row.TopKTime = time.Since(t0)
 		row.TopKOut = tres.Stopped
 

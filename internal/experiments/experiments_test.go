@@ -7,6 +7,7 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/datagen"
 	"repro/internal/eclat"
+	"repro/internal/engine"
 	"repro/internal/fpgrowth"
 	"repro/internal/minertest"
 	"repro/internal/rng"
@@ -21,20 +22,23 @@ func TestThreeWayOracleAgreement(t *testing.T) {
 		d := datagen.Random(r.Split(), 10+r.Intn(40), 4+r.Intn(9), 0.25+r.Float64()*0.4)
 		minCount := 1 + r.Intn(5)
 
-		a, okA := minertest.PatternsToMap(apriori.Mine(d, minCount).Patterns)
-		e, okE := minertest.PatternsToMap(eclat.Mine(d, minCount).Patterns)
-		if !okA || !okE {
-			t.Fatalf("trial %d: duplicates in a complete miner", trial)
+		var sets []map[string]int
+		for _, name := range []string{apriori.Name, eclat.Name, fpgrowth.Name} {
+			rep, err := runMiner(name, d, engine.Options{MinCount: minCount}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, ok := minertest.PatternsToMap(rep.Patterns)
+			if !ok {
+				t.Fatalf("trial %d: duplicates from %s", trial, name)
+			}
+			sets = append(sets, m)
 		}
-		f := make(map[string]int)
-		for _, ic := range fpgrowth.Mine(d, minCount).Itemsets {
-			f[ic.Items.Key()] = ic.Count
+		if !minertest.SameMap(sets[0], sets[1]) {
+			t.Fatalf("trial %d: Apriori (%d) != Eclat (%d)", trial, len(sets[0]), len(sets[1]))
 		}
-		if !minertest.SameMap(a, e) {
-			t.Fatalf("trial %d: Apriori (%d) != Eclat (%d)", trial, len(a), len(e))
-		}
-		if !minertest.SameMap(a, f) {
-			t.Fatalf("trial %d: Apriori (%d) != FP-growth (%d)", trial, len(a), len(f))
+		if !minertest.SameMap(sets[0], sets[2]) {
+			t.Fatalf("trial %d: Apriori (%d) != FP-growth (%d)", trial, len(sets[0]), len(sets[2]))
 		}
 	}
 }

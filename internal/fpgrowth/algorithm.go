@@ -23,7 +23,7 @@ func (algorithm) Name() string { return Name }
 // so the reported patterns carry memoized support counts but nil TID sets.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{MaxSize: true}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, minerOptions(d, opts))
+		res := mineOpts(ctx, d, minerOptions(d, opts))
 		return &engine.Report{Patterns: toPatterns(res), Stopped: res.Stopped}, nil
 	})
 }

@@ -47,21 +47,15 @@ type Result struct {
 	Stopped  bool
 }
 
-// Mine returns the complete set of frequent itemsets of d with support
-// count at least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineOpts runs FP-growth under the given options. Cancellation is polled
+// mineOpts runs FP-growth under the given options. Cancellation is polled
 // on ctx at every conditional-tree node; a canceled run returns the
 // itemsets found so far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
+func mineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
 	return mineRange(ctx, d, opts, 0, -1)
 }
 
 // mineRange mines the root header items [lo, hi); hi < 0 selects all of
-// them. It backs both MineOpts and the engine.Sharder adapter. A
+// them. It backs both mineOpts and the engine.Sharder adapter. A
 // single-path root is one task unit: the only valid shard is [0, 1) and
 // it runs the whole combination enumeration.
 func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) *Result {

@@ -21,7 +21,7 @@ func (algorithm) Name() string { return Name }
 // the resolved support threshold, mined on Options.Parallelism workers.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, minerOptions(d, opts))
+		res := mineOpts(ctx, d, minerOptions(d, opts))
 		return &engine.Report{Patterns: res.Patterns, Visited: res.Visited, Stopped: res.Stopped}, nil
 	})
 }

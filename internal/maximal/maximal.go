@@ -59,16 +59,10 @@ type Result struct {
 	Stopped  bool               // true if the run was canceled; Patterns is then partial
 }
 
-// Mine returns all maximal frequent patterns of d with support count at
-// least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineOpts runs the maximal miner under the given options. Cancellation is
+// mineOpts runs the maximal miner under the given options. Cancellation is
 // polled on ctx at every search node; a canceled run returns the patterns
 // found so far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
+func mineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
 	res, candidates, handled := mineRange(ctx, d, opts, 0, -1)
 	if handled {
 		return res
@@ -314,7 +308,7 @@ func (m *miner) search(head itemset.Itemset, tids *tidset.Set, tail []extension)
 // gathering with PEP absorption, leaf recording, the HUTMFI subsumption
 // prune, the FHUT lookahead, and dynamic reordering — and returns the
 // (possibly PEP-grown) head with its reordered extensions. handled=true
-// means the node completed without needing to recurse; MineOpts uses the
+// means the node completed without needing to recurse; mineOpts uses the
 // root node's extensions as the parallel task units.
 func (m *miner) node(head itemset.Itemset, tids *tidset.Set, tail []extension) (itemset.Itemset, []extension, bool) {
 	// Compute frequent extensions relative to head; PEP-absorb equal-support

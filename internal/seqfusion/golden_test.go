@@ -31,11 +31,10 @@ func TestReplaceSequencesGolden(t *testing.T) {
 		t.Skip("Replace fixture generation is slow")
 	}
 	rows, planted := datagen.ReplaceSequences(1)
-	d, err := dataset.New(rows)
+	d, err := dataset.NewSequences(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetSequences(rows)
 
 	alg, err := engine.Get("seqfusion")
 	if err != nil {

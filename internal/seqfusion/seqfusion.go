@@ -4,16 +4,16 @@
 // algorithm in the registry, and the paper's Section 8 direction made
 // reachable from pfmine, pfserve and the distributed coordinator.
 //
-// The engine contract forces one structural change against seq.Mine's
-// iterative global pool shrinkage: reports must be byte-identical for
-// any Parallelism and for any shard cut, so the search is decomposed
-// into K independent *seed-slot trajectories* over a static initial
-// pool. Slot s derives its own rng.Stream(seed, s), picks a seed from
-// the pool of frequent 1- and 2-grams, and iterates ball fusion around
-// its evolving support set to a fixed point: each step intersects the
-// support sets of in-ball pool members (τ-core and MinCount gated, in
-// the slot's own random order) and keeps the shrunken set only while it
-// stays frequent. The slot's answer is the weighted-LCS fold closure of
+// The engine contract shapes the search: reports must be byte-identical
+// for any Parallelism and for any shard cut, so instead of shrinking one
+// global pool iteration by iteration (the itemset miner's loop), the
+// search is decomposed into K independent *seed-slot trajectories* over
+// a static initial pool. Slot s derives its own rng.Stream(seed, s),
+// picks a seed from the pool of frequent 1- and 2-grams, and iterates
+// ball fusion around its evolving support set to a fixed point: each
+// step intersects the support sets of in-ball pool members (τ-core and
+// MinCount gated, in the slot's own random order) and keeps the
+// shrunken set only while it stays frequent. The slot's answer is the weighted-LCS fold closure of
 // the converged support set. Slots never observe one another, so the
 // shared Tasks scheduler runs them on any worker count — and any
 // contiguous slot range can be leased to a remote peer — without the
@@ -112,8 +112,9 @@ func sequenceView(d *dataset.Dataset) *seq.Dataset {
 
 // initPool mines the static candidate pool: every frequent unigram in
 // event order, then every frequent contiguous bigram in first-occurrence
-// order — the same decomposition seq.Mine seeds its balls with, made
-// cancellable. On cancellation it returns the partial pool and true.
+// order: every colossal subsequence contains many frequent bigrams, so
+// they suffice to seed the balls. On cancellation it returns the partial
+// pool and true.
 func initPool(ctx context.Context, sd *seq.Dataset, minCount int) ([]*seq.Pattern, bool) {
 	var pool []*seq.Pattern
 	for e := 0; e < sd.NumEvents(); e++ {

@@ -24,7 +24,7 @@ func (algorithm) Name() string { return Name }
 // optional support floor.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{K: true, MinSize: true}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, minerOptions(d, opts))
+		res := mineOpts(ctx, d, minerOptions(d, opts))
 		return &engine.Report{Patterns: res.Patterns, Visited: res.Visited, Stopped: res.Stopped}, nil
 	})
 }

@@ -52,20 +52,15 @@ type Result struct {
 	Stopped  bool
 }
 
-// Mine returns the top-k closed patterns of d with at least minLength items.
-func Mine(d *dataset.Dataset, k, minLength int) *Result {
-	return MineOpts(context.Background(), d, Options{K: k, MinLength: minLength})
-}
-
-// MineOpts runs TFP under the given options. Cancellation is polled on ctx
+// mineOpts runs TFP under the given options. Cancellation is polled on ctx
 // at every search node; a canceled run returns the best patterns found so
 // far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
+func mineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
 	return mineRange(ctx, d, opts, 0, -1)
 }
 
 // mineRange mines the root-closure candidate extensions [lo, hi); hi < 0
-// selects all of them. It backs both MineOpts and the engine.Sharder
+// selects all of them. It backs both mineOpts and the engine.Sharder
 // adapter. Every range runs the root node identically — the candidate
 // order and the post-root threshold are pure functions of (d, opts) — but
 // the root's visit count and its heap contribution belong to the lo == 0

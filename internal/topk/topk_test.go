@@ -1,21 +1,32 @@
 package topk
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"repro/internal/charm"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/minertest"
 	"repro/internal/rng"
 )
 
 // oracleTopK computes the reference answer from the complete closed set:
 // supports of the top k closed patterns with ≥ minLen items.
-func oracleTopK(d *dataset.Dataset, k, minLen int) []int {
+func oracleTopK(t *testing.T, d *dataset.Dataset, k, minLen int) []int {
+	t.Helper()
+	closed, err := engine.Get(charm.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := closed.Mine(context.Background(), d, engine.Options{MinCount: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sups []int
-	for _, p := range charm.Mine(d, 1).Patterns {
+	for _, p := range rep.Patterns {
 		if len(p.Items) >= minLen {
 			sups = append(sups, p.Support())
 		}
@@ -33,7 +44,7 @@ func TestTopKMatchesOracleRandom(t *testing.T) {
 		d := datagen.Random(r.Split(), 10+r.Intn(25), 4+r.Intn(7), 0.35+r.Float64()*0.3)
 		k := 1 + r.Intn(8)
 		minLen := 1 + r.Intn(3)
-		res := Mine(d, k, minLen)
+		res := mineOpts(context.Background(), d, Options{K: k, MinLength: minLen})
 		var got []int
 		for _, p := range res.Patterns {
 			if len(p.Items) < minLen {
@@ -44,7 +55,7 @@ func TestTopKMatchesOracleRandom(t *testing.T) {
 			}
 			got = append(got, p.Support())
 		}
-		want := oracleTopK(d, k, minLen)
+		want := oracleTopK(t, d, k, minLen)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d patterns, want %d", trial, len(got), len(want))
 		}
@@ -61,7 +72,7 @@ func TestThresholdRaising(t *testing.T) {
 	// threshold must equal the k-th best support.
 	r := rng.New(910)
 	d := datagen.Random(r, 50, 8, 0.4)
-	res := Mine(d, 5, 1)
+	res := mineOpts(context.Background(), d, Options{K: 5, MinLength: 1})
 	if len(res.Patterns) == 5 {
 		if res.MinCount != res.Patterns[4].Support() {
 			t.Fatalf("final threshold %d != 5th best support %d",
@@ -75,7 +86,7 @@ func TestThresholdRaising(t *testing.T) {
 
 func TestFewerThanKExist(t *testing.T) {
 	d := dataset.MustNew([][]int{{0, 1}, {0, 1}})
-	res := Mine(d, 10, 1)
+	res := mineOpts(context.Background(), d, Options{K: 10, MinLength: 1})
 	if len(res.Patterns) != 1 { // only closed set is (0 1)
 		t.Fatalf("got %d patterns, want 1", len(res.Patterns))
 	}
@@ -83,7 +94,7 @@ func TestFewerThanKExist(t *testing.T) {
 
 func TestMinLengthExcludesEverything(t *testing.T) {
 	d := dataset.MustNew([][]int{{0}, {1}})
-	res := Mine(d, 3, 5)
+	res := mineOpts(context.Background(), d, Options{K: 3, MinLength: 5})
 	if len(res.Patterns) != 0 {
 		t.Fatalf("impossible min length yielded %v", res.Patterns)
 	}
@@ -92,7 +103,7 @@ func TestMinLengthExcludesEverything(t *testing.T) {
 func TestResultsSortedBySupport(t *testing.T) {
 	r := rng.New(911)
 	d := datagen.Random(r, 60, 9, 0.4)
-	res := Mine(d, 10, 1)
+	res := mineOpts(context.Background(), d, Options{K: 10, MinLength: 1})
 	for i := 1; i < len(res.Patterns); i++ {
 		if res.Patterns[i].Support() > res.Patterns[i-1].Support() {
 			t.Fatal("results not sorted by descending support")
@@ -101,14 +112,14 @@ func TestResultsSortedBySupport(t *testing.T) {
 }
 
 func TestDegenerate(t *testing.T) {
-	if got := Mine(dataset.MustNew(nil), 3, 1).Patterns; len(got) != 0 {
+	if got := mineOpts(context.Background(), dataset.MustNew(nil), Options{K: 3, MinLength: 1}).Patterns; len(got) != 0 {
 		t.Fatalf("empty dataset: %v", got)
 	}
 }
 
 func TestCancellation(t *testing.T) {
 	d := datagen.Diag(18)
-	res := MineOpts(minertest.CancelAfter(5), d, Options{K: 1000, MinLength: 1})
+	res := mineOpts(minertest.CancelAfter(5), d, Options{K: 1000, MinLength: 1})
 	if !res.Stopped {
 		t.Fatal("cancellation not honored")
 	}

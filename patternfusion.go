@@ -4,25 +4,22 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/apriori"
-	"repro/internal/carpenter"
 	"repro/internal/charm"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
-	"repro/internal/eclat"
 	"repro/internal/engine"
-	"repro/internal/fpgrowth"
+	_ "repro/internal/engine/all" // register every miner for MineWith
 	"repro/internal/itemset"
 	"repro/internal/maximal"
 	"repro/internal/quality"
 	"repro/internal/rng"
-	"repro/internal/topk"
 )
 
 // Dataset is an immutable transaction database over non-negative integer
 // item IDs, holding both horizontal (transactions) and vertical (per-item
-// TID bitset) representations.
+// TID-set, internal/tidset) representations, plus an optional ordered
+// view of each row (see NewSequences).
 type Dataset = dataset.Dataset
 
 // Pattern is a frequent itemset paired with its support set.
@@ -87,7 +84,7 @@ func MineFromPool(ctx context.Context, d *Dataset, pool []*Pattern, cfg Config) 
 // context-first, observable interface, addressable by name.
 
 // Engine is the uniform algorithm interface: Name plus
-// Mine(ctx, dataset, options). All eight miners implement it and register
+// Mine(ctx, dataset, options). All nine miners implement it and register
 // themselves; see Algorithms for the names.
 type Engine = engine.Algorithm
 
@@ -111,14 +108,16 @@ type Observer = engine.Observer
 
 // Algorithms returns the names of all registered algorithms: "apriori",
 // "closed", "closedrows", "eclat", "fpgrowth", "fusion", "maximal",
-// "topk".
+// "seqfusion", "topk".
 func Algorithms() []string { return engine.Names() }
 
 // GetAlgorithm returns the registered algorithm with the given name.
 func GetAlgorithm(name string) (Engine, error) { return engine.Get(name) }
 
 // MineWith runs the named registered algorithm on d under opts: the
-// library-level equivalent of `pfmine -algo name` and of a pfserve job.
+// library-level equivalent of `pfmine -algo name` and of a pfserve job,
+// and the one entry point of every miner besides Pattern-Fusion's Mine
+// and MineFromPool.
 func MineWith(ctx context.Context, name string, d *Dataset, opts Options) (*Report, error) {
 	a, err := engine.Get(name)
 	if err != nil {
@@ -146,54 +145,8 @@ func Robustness(d *Dataset, alpha Itemset, tau float64) int {
 }
 
 // ---------------------------------------------------------------------------
-// Exact miners (baselines and ground-truth builders).
-
-// MineFrequent returns the complete set of frequent patterns of d at the
-// given absolute support count, mined with Apriori.
-func MineFrequent(d *Dataset, minCount int) []*Pattern {
-	return apriori.Mine(d, minCount).Patterns
-}
-
-// MineFrequentUpTo returns the complete set of frequent patterns of size at
-// most maxSize — Pattern-Fusion's initial pool.
-func MineFrequentUpTo(d *Dataset, minCount, maxSize int) []*Pattern {
-	return apriori.MineUpTo(d, minCount, maxSize).Patterns
-}
-
-// MineFrequentFP returns the complete frequent itemsets with their support
-// counts, mined with FP-growth.
-func MineFrequentFP(d *Dataset, minCount int) []fpgrowth.ItemsetCount {
-	return fpgrowth.Mine(d, minCount).Itemsets
-}
-
-// MineFrequentEclat returns the complete frequent patterns mined with the
-// vertical Eclat algorithm.
-func MineFrequentEclat(d *Dataset, minCount int) []*Pattern {
-	return eclat.Mine(d, minCount).Patterns
-}
-
-// MineClosed returns the complete set of closed frequent patterns of d.
-func MineClosed(d *Dataset, minCount int) []*Pattern {
-	return charm.Mine(d, minCount).Patterns
-}
-
-// MineClosedRows returns the closed frequent patterns of size at least
-// minSize using CARPENTER-style row enumeration — the method of choice for
-// datasets with few transactions and very many items (e.g. microarrays).
-func MineClosedRows(d *Dataset, minCount, minSize int) []*Pattern {
-	return carpenter.Mine(d, minCount, minSize).Patterns
-}
-
-// MineMaximal returns the complete set of maximal frequent patterns of d.
-func MineMaximal(d *Dataset, minCount int) []*Pattern {
-	return maximal.Mine(d, minCount).Patterns
-}
-
-// MineTopK returns the top-k most frequent closed patterns with at least
-// minLength items (the TFP algorithm).
-func MineTopK(d *Dataset, k, minLength int) []*Pattern {
-	return topk.Mine(d, k, minLength).Patterns
-}
+// Exact-miner predicates. The exact miners themselves (apriori, fpgrowth,
+// eclat, closed, closedrows, maximal, topk) run through MineWith.
 
 // IsClosed reports whether alpha is a closed pattern of d.
 func IsClosed(d *Dataset, alpha Itemset) bool { return charm.IsClosed(d, alpha) }

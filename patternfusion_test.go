@@ -45,16 +45,27 @@ func TestPublicReadWrite(t *testing.T) {
 	}
 }
 
+// mine runs the named registered algorithm on db and returns its patterns.
+func mine(t *testing.T, name string, db *patternfusion.Dataset, opts patternfusion.Options) []*patternfusion.Pattern {
+	t.Helper()
+	rep, err := patternfusion.MineWith(context.Background(), name, db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Patterns
+}
+
 func TestExactMinersAgreeThroughPublicAPI(t *testing.T) {
 	db := patternfusion.RandomDB(5, 30, 8, 0.4)
-	ap := patternfusion.MineFrequent(db, 3)
-	ec := patternfusion.MineFrequentEclat(db, 3)
-	fp := patternfusion.MineFrequentFP(db, 3)
+	at3 := patternfusion.Options{MinCount: 3}
+	ap := mine(t, "apriori", db, at3)
+	ec := mine(t, "eclat", db, at3)
+	fp := mine(t, "fpgrowth", db, at3)
 	if len(ap) != len(ec) || len(ap) != len(fp) {
 		t.Fatalf("miner cardinalities differ: apriori=%d eclat=%d fp=%d", len(ap), len(ec), len(fp))
 	}
-	closed := patternfusion.MineClosed(db, 3)
-	rows := patternfusion.MineClosedRows(db, 3, 0)
+	closed := mine(t, "closed", db, at3)
+	rows := mine(t, "closedrows", db, at3)
 	if len(closed) != len(rows) {
 		t.Fatalf("closed miners differ: charm=%d carpenter=%d", len(closed), len(rows))
 	}
@@ -63,22 +74,31 @@ func TestExactMinersAgreeThroughPublicAPI(t *testing.T) {
 			t.Fatalf("%v not closed", p.Items)
 		}
 	}
-	for _, p := range patternfusion.MineMaximal(db, 3) {
+	for _, p := range mine(t, "maximal", db, at3) {
 		if !patternfusion.IsMaximal(db, p.Items, 3) {
 			t.Fatalf("%v not maximal", p.Items)
 		}
 	}
 }
 
+// TestTopKThroughPublicAPI checks the top-k contract against the closed
+// miner: no closed pattern of the minimum length left out of the report
+// is more frequent than the least frequent pattern reported.
 func TestTopKThroughPublicAPI(t *testing.T) {
 	db := patternfusion.RandomDB(6, 40, 8, 0.4)
-	top := patternfusion.MineTopK(db, 5, 2)
+	top := mine(t, "topk", db, patternfusion.Options{K: 5, MinSize: 2})
 	if len(top) == 0 || len(top) > 5 {
 		t.Fatalf("topk returned %d", len(top))
 	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Support() > top[i-1].Support() {
-			t.Fatal("topk not sorted by support")
+	reported := make(map[string]bool, len(top))
+	least := top[0].Support()
+	for _, p := range top {
+		reported[p.Items.Key()] = true
+		least = min(least, p.Support())
+	}
+	for _, p := range mine(t, "closed", db, patternfusion.Options{MinCount: 1, MinSize: 2}) {
+		if !reported[p.Items.Key()] && p.Support() > least {
+			t.Fatalf("closed %v (support %d) left out of a top-5 whose least support is %d", p.Items, p.Support(), least)
 		}
 	}
 }
@@ -132,7 +152,7 @@ func TestCoreConceptsThroughPublicAPI(t *testing.T) {
 
 func TestMineFromPoolThroughPublicAPI(t *testing.T) {
 	db := patternfusion.DiagPlus(10, 5, 8)
-	pool := patternfusion.MineFrequentUpTo(db, 5, 2)
+	pool := mine(t, "apriori", db, patternfusion.Options{MinCount: 5, MaxSize: 2})
 	if len(pool) == 0 {
 		t.Fatal("empty initial pool")
 	}
