@@ -7,7 +7,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/rng"
 	"repro/internal/seq"
 	_ "repro/internal/seqfusion"
 )
@@ -134,77 +133,6 @@ func TestRepeatedEventsSurvive(t *testing.T) {
 		}
 	}
 	t.Fatalf("pattern <1 2 1> not mined; got %v", rep.Patterns)
-}
-
-// plantedRows builds numSeqs sequences; frac of them embed the colossal
-// subsequence (with 0-2 noise events interleaved before each of its
-// events), the rest are 3-12 noise events. Noise events lie above the
-// colossal sequence's last event.
-func plantedRows(r *rng.RNG, numSeqs int, colossal seq.Sequence, frac float64, alphabet int) [][]int {
-	noise := colossal[len(colossal)-1] + 1
-	rows := make([][]int, numSeqs)
-	for i := range rows {
-		var s []int
-		if r.Float64() < frac {
-			for _, e := range colossal {
-				for k := r.Intn(3); k > 0; k-- {
-					s = append(s, noise+r.Intn(alphabet))
-				}
-				s = append(s, e)
-			}
-		} else {
-			for j := 3 + r.Intn(10); j > 0; j-- {
-				s = append(s, noise+r.Intn(alphabet))
-			}
-		}
-		rows[i] = s
-	}
-	return rows
-}
-
-// TestPlantedSequencesRecovered pins colossal recovery on three noisy
-// fixtures with a planted 12-, 8- and 5-event sequence: the planted
-// sequence must be mined, at most K patterns reported, and every
-// reported support must recount — against the sequence substrate's own
-// TIDSet — to the reported value and at least MinCount.
-func TestPlantedSequencesRecovered(t *testing.T) {
-	for _, c := range []struct {
-		seed                  uint64
-		numSeqs, length       int
-		frac                  float64
-		alphabet, minCount, k int
-	}{
-		{seed: 5, numSeqs: 120, length: 12, frac: 0.4, alphabet: 30, minCount: 30, k: 10},
-		{seed: 6, numSeqs: 80, length: 8, frac: 0.5, alphabet: 20, minCount: 20, k: 8},
-		{seed: 7, numSeqs: 60, length: 5, frac: 0.5, alphabet: 15, minCount: 15, k: 5},
-	} {
-		colossal := make(seq.Sequence, c.length)
-		for i := range colossal {
-			colossal[i] = i
-		}
-		rows := plantedRows(rng.New(c.seed), c.numSeqs, colossal, c.frac, c.alphabet)
-		rep := mineSeqfusion(t, seqDataset(t, rows), engine.Options{MinCount: c.minCount, K: c.k, Seed: 1})
-		seqs := make([]seq.Sequence, len(rows))
-		for i, r := range rows {
-			seqs[i] = r
-		}
-		sd := seq.MustNewDataset(seqs)
-		found := false
-		for _, p := range rep.Patterns {
-			s := seq.Sequence(p.Items)
-			if got := sd.TIDSet(s).Count(); got != p.Support() || got < c.minCount {
-				t.Errorf("seed %d: pattern %v reports support %d, recounts to %d (MinCount %d)",
-					c.seed, s, p.Support(), got, c.minCount)
-			}
-			found = found || s.Equal(colossal)
-		}
-		if !found {
-			t.Errorf("seed %d: planted %v not recovered; got %v", c.seed, colossal, rep.Patterns)
-		}
-		if len(rep.Patterns) > c.k {
-			t.Errorf("seed %d: %d patterns exceed K=%d", c.seed, len(rep.Patterns), c.k)
-		}
-	}
 }
 
 // TestEmptyDataset pins that a dataset without rows mines nothing and
