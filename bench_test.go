@@ -531,9 +531,10 @@ func BenchmarkEngineTopKMicroarray(b *testing.B) {
 // closed-pattern emission runs, so their allocs/op must stay at zero for
 // the miner-level numbers above to hold.
 
-// BenchmarkEngineCharmClosureProbe measures the counting-based closure on
-// the TID-sets of real closed patterns from the Replace workload — a mix
-// of dense word-walks and sparse element-walks, exactly as charm sees it.
+// BenchmarkEngineCharmClosureProbe measures the vertical subset probe of
+// dataset.Closer on the TID-sets of real closed patterns from the Replace
+// workload — dense and sparse support sets against dense and sparse item
+// columns, exactly as charm sees them.
 func BenchmarkEngineCharmClosureProbe(b *testing.B) {
 	d, _, _ := replaceFixture(b)
 	pats := mineReport(b, "closed", d, patternfusion.Options{MinCount: d.MinCount(0.03)}).Patterns
@@ -628,8 +629,9 @@ func BenchmarkItemsetFingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkCloserMicroarray measures the counting-based closure against the
-// allocating intersection chain it replaced in the fusion loop.
+// BenchmarkCloserMicroarray measures the vertical subset probe of
+// dataset.Closer on the support sets of microarray fusion results: few
+// rows, each with hundreds of items to probe.
 func BenchmarkCloserMicroarray(b *testing.B) {
 	d, top := microFixture(b)
 	closer := dataset.NewCloser(d)

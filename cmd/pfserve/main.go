@@ -75,6 +75,22 @@ import (
 	"repro/internal/server"
 )
 
+// Listener timeouts. A client has readHeaderTimeout to send its request
+// headers, which stops slowloris clients from holding connections open,
+// and an idle keep-alive connection is closed after idleTimeout. Writes
+// have no deadline: an NDJSON event stream (GET /jobs/{id}/events?follow=1)
+// stays open for as long as its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the pfserve listener for addr with the timeouts
+// above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -136,7 +152,7 @@ func main() {
 	}
 
 	mgr := server.NewManager(cfg)
-	srv := &http.Server{Addr: *addr, Handler: server.Handler(mgr)}
+	srv := newHTTPServer(*addr, server.Handler(mgr))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -67,11 +67,12 @@
 // count-algebra pruning with an early-exit intersection bound (most
 // candidate pairs never touch a bitset word), dedup maps are keyed by
 // 128-bit itemset fingerprints instead of strings, and each fusion worker
-// reuses scratch buffers plus a counting-based closure computer, so a draw
-// allocates only when it discovers a new super-pattern. All of it is
-// differential-tested against the naive forms and pinned to bit-identical
-// golden results; see README.md ("Performance") for recorded numbers and
-// profiling instructions (scripts/bench.sh, pfmine -cpuprofile).
+// reuses scratch buffers plus a closure computer that runs a vertical
+// subset probe, so a draw allocates only when it discovers a new
+// super-pattern. All of it is differential-tested against the naive forms
+// and pinned to bit-identical golden results; see README.md
+// ("Performance") for recorded numbers and profiling instructions
+// (scripts/bench.sh, pfmine -cpuprofile).
 //
 // # What else is in the box
 //

@@ -23,10 +23,11 @@
 //
 // Allocation discipline: every branch TID-set is a pooled scratch set
 // (computed in place with AndOf, returned to the worker's pool when the
-// branch closes), closures come out of a counting dataset.Closer instead
-// of an Intersect chain, and the itemsets and TID-sets a pattern retains
-// are carved from per-worker arenas. The per-node cost is O(1) amortized
-// allocations instead of one tidset + one itemset chain per node.
+// branch closes), closures come out of dataset.Closer's vertical subset
+// probe instead of an Intersect chain, and the itemsets and TID-sets a
+// pattern retains are carved from per-worker arenas. The per-node cost is
+// O(1) amortized allocations instead of one tidset + one itemset chain
+// per node.
 package charm
 
 import (
@@ -76,7 +77,7 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 
 	all := tidset.Full(d.Size())
-	c0 := ClosureOf(d, all)
+	c0 := dataset.NewCloser(d).Closure(all).Clone()
 	if hi < 0 {
 		hi = d.NumItems()
 	}
@@ -123,8 +124,8 @@ type miner struct {
 }
 
 // scratch is the per-worker allocation state: a pool of branch TID-sets, a
-// counting closure computer, and arenas for the itemsets and TID-sets that
-// emitted patterns retain.
+// closure computer, and arenas for the itemsets and TID-sets that emitted
+// patterns retain.
 type scratch struct {
 	pool   *tidset.Pool
 	closer *dataset.Closer
@@ -218,21 +219,6 @@ func prefixPreserved(c, cc itemset.Itemset, i int) bool {
 	return true
 }
 
-// ClosureOf computes the intersection of the transactions in tids — the
-// unique closed itemset with that support set. tids must be non-empty.
-// It allocates per transaction; hot paths should use dataset.Closer.
-func ClosureOf(d *dataset.Dataset, tids *tidset.Set) itemset.Itemset {
-	first := tids.NextSet(0)
-	if first < 0 {
-		return nil
-	}
-	closed := d.Transaction(first).Clone()
-	for tid := tids.NextSet(first + 1); tid >= 0 && len(closed) > 0; tid = tids.NextSet(tid + 1) {
-		closed = closed.Intersect(d.Transaction(tid))
-	}
-	return closed
-}
-
 // IsClosed reports whether alpha is closed in d: no single-item extension
 // preserves its support set. (Utility for tests and the quality harness.)
 func IsClosed(d *dataset.Dataset, alpha itemset.Itemset) bool {
@@ -241,5 +227,5 @@ func IsClosed(d *dataset.Dataset, alpha itemset.Itemset) bool {
 	if sup == 0 {
 		return false
 	}
-	return ClosureOf(d, tids).Equal(alpha)
+	return dataset.NewCloser(d).Closure(tids).Equal(alpha)
 }

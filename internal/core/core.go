@@ -43,11 +43,12 @@
 // tidset.AndCountAtLeast with two-sided early exit — derived from the exact
 // float64 predicate, so results never differ from the naive Distance scan.
 // Each worker owns a fuseScratch (reused ball, shuffle order, working TID
-// set, double-buffered itemset union, counting-based dataset.Closer), and
-// all dedup maps are keyed by 128-bit itemset.Fingerprint, so a fusion draw
-// allocates only when it discovers a new super-pattern. Bit-identity with
-// the naive implementation is pinned by differential tests and by golden
-// result hashes (TestResultGoldenBitIdentical).
+// set, double-buffered itemset union, a dataset.Closer running the
+// vertical subset probe), and all dedup maps are keyed by 128-bit
+// itemset.Fingerprint, so a fusion draw allocates only when it discovers
+// a new super-pattern. Bit-identity with the naive implementation is
+// pinned by differential tests and by golden result hashes
+// (TestResultGoldenBitIdentical).
 package core
 
 import (
@@ -513,7 +514,7 @@ func ballThreshold(sa, sb int, radius float64) int {
 
 // fuseScratch holds the per-worker reusable buffers that make a fusion draw
 // allocation-free: the ball and its sample, the shuffle order, the working
-// TID set, the double-buffered itemset union, the counting closure, and the
+// TID set, the double-buffered itemset union, the closure probe, and the
 // per-seed supers map. One scratch is owned by exactly one worker goroutine.
 type fuseScratch struct {
 	ball   []*dataset.Pattern

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/itemset"
 	"repro/internal/rng"
+	"repro/internal/tidset"
 )
 
 // paperDB is the transaction database of Figure 3: four distinct
@@ -239,52 +240,167 @@ func TestTIDSetMatchesNaiveScan(t *testing.T) {
 	}
 }
 
-// TestCloserMatchesClosure is the differential test for the counting-based
-// closure: on randomized datasets, Closer.Closure must equal the naive
-// intersection-chain Dataset.Closure for every frequent itemset's support
-// set (and for single-transaction and empty supports).
+// closerRows returns nTxn random rows over nItems items. Each item takes
+// its own density byte (cycled over the items): its frequency is
+// byte/255, so columns mix the dense and sparse TID-set representations
+// once nTxn is past 64 rows, and an odd byte makes the item (after the
+// first) copy the previous item's membership in all but about one row in
+// sixteen, which yields nested and nearly nested columns. One row in
+// eight is left empty.
+func closerRows(r *rng.RNG, nTxn, nItems int, density []byte) [][]int {
+	rows := make([][]int, nTxn)
+	for i := range rows {
+		if r.Intn(8) == 0 {
+			continue
+		}
+		prev := false
+		for it := 0; it < nItems; it++ {
+			b := density[it%len(density)]
+			in := prev
+			if it == 0 || b&1 == 0 || r.Intn(16) == 0 {
+				in = r.Intn(255) < int(b)
+			}
+			if in {
+				rows[i] = append(rows[i], it)
+			}
+			prev = in
+		}
+	}
+	return rows
+}
+
+// closerCase is one support set of the Closer differential and the
+// closure it must produce.
+type closerCase struct {
+	tids *tidset.Set
+	want itemset.Itemset
+}
+
+// closerCases lists the Closer differential's support sets: D_α for the
+// empty itemset (D_∅ holds every row, empty ones too), every item and
+// every pair of items, each expecting the oracle Dataset.Closure(α); and,
+// for each D_α of two or more rows, a dense set of every other member of
+// D_α, expecting the intersection of its rows. The thinned sets stand for
+// the small dense support sets that intersecting dense columns produces,
+// which are the dense sets that meet sparse columns at least their size.
+func closerCases(d *Dataset) []closerCase {
+	probes := []itemset.Itemset{{}}
+	for a := 0; a < d.NumItems(); a++ {
+		probes = append(probes, itemset.Itemset{a})
+		for b := a + 1; b < d.NumItems(); b++ {
+			probes = append(probes, itemset.Itemset{a, b})
+		}
+	}
+	var cases []closerCase
+	for _, alpha := range probes {
+		tids := d.TIDSet(alpha)
+		cases = append(cases, closerCase{tids, d.Closure(alpha)})
+		if tids.Count() < 2 {
+			continue
+		}
+		members := tids.Indices()
+		kept := make([]bool, d.Size())
+		want := d.Transaction(members[0]).Clone()
+		for k := 0; k < len(members); k += 2 {
+			kept[members[k]] = true
+			want = want.Intersect(d.Transaction(members[k]))
+		}
+		thin := tidset.Full(d.Size())
+		for tid, keep := range kept {
+			if !keep {
+				thin.Remove(tid)
+			}
+		}
+		cases = append(cases, closerCase{thin, want})
+	}
+	return cases
+}
+
+// checkCloser compares Closer.Closure with the case's expected closure.
+// On an empty support Dataset.Closure(α) returns α itself while the
+// Closer, which sees only the TID set, returns nil; both mean "no
+// supporting transactions".
+func checkCloser(t *testing.T, d *Dataset, c *Closer, cs closerCase) {
+	t.Helper()
+	got := c.Closure(cs.tids)
+	if cs.tids.Empty() {
+		if got != nil {
+			t.Fatalf("Closure of empty support = %v, want nil", got)
+		}
+		return
+	}
+	if !got.Equal(cs.want) {
+		t.Fatalf("vertical closure of %v over %d rows = %v, want %v", cs.tids, d.Size(), got, cs.want)
+	}
+}
+
+// TestCloserMatchesClosure is the differential test for the vertical
+// closure probe: on random datasets of 5–44 and 65–300 rows, Closer.Closure
+// must produce the expected closure of every case of closerCases. It also
+// asserts that the trials reached the cases the probe can get wrong: a
+// multi-word dense support set against a sparse column and a sparse
+// support set against a dense one (both with a column at least as large
+// that still misses a TID, so neither the cardinality shortcut nor a
+// trivial subset decides), the same for two sparse sets of two or more
+// members, empty transactions, and a support set whose first transaction
+// is not its shortest row.
 func TestCloserMatchesClosure(t *testing.T) {
 	r := rng.New(11)
-	for trial := 0; trial < 30; trial++ {
+	var denseInSparse, sparseInDense, sparseInSparse, emptyRow, longFirst bool
+	for trial := 0; trial < 60; trial++ {
 		nTxn := 5 + r.Intn(40)
-		nItems := 3 + r.Intn(20)
-		txns := make([][]int, nTxn)
-		for i := range txns {
-			l := r.Intn(nItems)
-			row := make([]int, 0, l)
-			for j := 0; j < l; j++ {
-				row = append(row, r.Intn(nItems))
-			}
-			txns[i] = row
+		if trial%2 == 1 {
+			nTxn = 65 + r.Intn(236)
 		}
-		d := MustNew(txns)
+		nItems := 3 + r.Intn(14)
+		density := []byte{3, 12, 5, 200, 251, byte(r.Intn(256))}
+		d := MustNew(closerRows(r, nTxn, nItems, density))
 		closer := NewCloser(d)
-		// Probe with every single item, random pairs, and random triples.
-		var probes []itemset.Itemset
-		for it := 0; it < d.NumItems(); it++ {
-			probes = append(probes, itemset.Itemset{it})
-		}
-		for k := 0; k < 20; k++ {
-			probes = append(probes, itemset.Canonical([]int{r.Intn(nItems), r.Intn(nItems), r.Intn(nItems)}))
-		}
-		for _, alpha := range probes {
-			tids := d.TIDSet(alpha)
-			want := d.Closure(alpha)
-			got := closer.Closure(tids)
-			if tids.Count() == 0 {
-				// Closure returns alpha itself on empty support; Closer
-				// (which only sees the TID set) returns nil. Both mean
-				// "no supporting transactions".
-				if got != nil {
-					t.Fatalf("trial %d: Closure of empty support = %v, want nil", trial, got)
-				}
+		for _, cs := range closerCases(d) {
+			checkCloser(t, d, closer, cs)
+			tids := cs.tids
+			first := tids.NextSet(0)
+			if first < 0 {
 				continue
 			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d: counting closure of %v = %v, want %v", trial, alpha, got, want)
+			row := d.Transaction(first)
+			emptyRow = emptyRow || len(row) == 0
+			tids.ForEach(func(tid int) { longFirst = longFirst || len(d.Transaction(tid)) < len(row) })
+			for _, it := range row {
+				col := d.ItemTIDs(it)
+				if col.Count() < tids.Count() || col.AndCount(tids) == tids.Count() || d.Size() <= 64 {
+					continue
+				}
+				denseInSparse = denseInSparse || tids.IsDense() && !col.IsDense()
+				sparseInDense = sparseInDense || !tids.IsDense() && col.IsDense()
+				sparseInSparse = sparseInSparse || !tids.IsDense() && !col.IsDense() && tids.Count() >= 2
 			}
 		}
 	}
+	if !denseInSparse || !sparseInDense || !sparseInSparse || !emptyRow || !longFirst {
+		t.Fatalf("coverage: dense-in-sparse %v, sparse-in-dense %v, sparse-in-sparse %v, empty row %v, long first row %v",
+			denseInSparse, sparseInDense, sparseInSparse, emptyRow, longFirst)
+	}
+}
+
+// FuzzCloser runs the Closer differential of TestCloserMatchesClosure on
+// fuzzer-chosen datasets: the row count (1–300), the item count (1–16),
+// the per-item frequencies and the row-generator seed.
+func FuzzCloser(f *testing.F) {
+	f.Add(uint16(70), uint8(6), []byte{3, 250, 12, 200}, uint64(1))
+	f.Add(uint16(300), uint8(12), []byte{1, 255, 128}, uint64(2))
+	f.Add(uint16(9), uint8(4), []byte{0}, uint64(3))
+	f.Fuzz(func(t *testing.T, nTxn uint16, nItems uint8, density []byte, seed uint64) {
+		if len(density) == 0 {
+			density = []byte{128}
+		}
+		rows := closerRows(rng.New(seed), int(nTxn)%300+1, int(nItems)%16+1, density)
+		d := MustNew(rows)
+		closer := NewCloser(d)
+		for _, cs := range closerCases(d) {
+			checkCloser(t, d, closer, cs)
+		}
+	})
 }
 
 // TestCloserReusesBuffer documents the aliasing contract: the returned

@@ -12,8 +12,8 @@
 // derived sets pick it per operation (an intersection with a sparse
 // operand is itself sparse, since |a∩b| ≤ min(|a|,|b|)).
 //
-// Every kernel — AndOf, AndCount, the early-exit AndCountAtLeast, the
-// Closure probes via Words/Elems — produces counts and members identical
+// Every kernel — AndOf, AndCount, the early-exit AndCountAtLeast and
+// SubsetOf (the closure probe) — produces counts and members identical
 // to the dense bitset computation (pinned by the differential FuzzTIDSet
 // test), so the miners' golden sha256 outputs are unchanged by the
 // representation. Cardinality is maintained eagerly on every mutation,
@@ -139,27 +139,6 @@ func (s *Set) Empty() bool { return s.card == 0 }
 
 // IsDense reports whether the dense (word) representation is active.
 func (s *Set) IsDense() bool { return s.dense }
-
-// Words returns the dense word payload and true when s is dense, or
-// (nil, false) when it is sparse. The slice is the live payload — callers
-// must treat it as read-only. It is the fast path for word-level probes
-// (dataset.Closer iterates it directly).
-func (s *Set) Words() ([]uint64, bool) {
-	if s.dense {
-		return s.words, true
-	}
-	return nil, false
-}
-
-// Elems returns the sorted element payload and true when s is sparse, or
-// (nil, false) when it is dense. The slice is the live payload — callers
-// must treat it as read-only.
-func (s *Set) Elems() ([]uint32, bool) {
-	if !s.dense {
-		return s.elems, true
-	}
-	return nil, false
-}
 
 // Test reports whether i is a member. It panics if i is out of range.
 func (s *Set) Test(i int) bool {
@@ -545,6 +524,48 @@ func atLeastSparseSparse(ae, be []uint32, threshold int) bool {
 		}
 	}
 	return c >= threshold
+}
+
+// SubsetOf reports whether s ⊆ o, returning false at once when s has more
+// members than o and otherwise on the first member of s missing from o.
+// It is the vertical closure probe of dataset.Closer: an item belongs to
+// the closure of a support set exactly when the set is a subset of the
+// item's column.
+func (s *Set) SubsetOf(o *Set) bool {
+	s.mustMatch(o)
+	if s.card > o.card {
+		return false
+	}
+	switch {
+	case s.dense && o.dense:
+		for i, w := range s.words {
+			if w&^o.words[i] != 0 {
+				return false
+			}
+		}
+		return true
+	case s.dense: // o sparse
+		j := 0
+		for wi, w := range s.words {
+			for w != 0 {
+				e := uint32(wi*wordBits + bits.TrailingZeros64(w))
+				w &= w - 1
+				for j < len(o.elems) && o.elems[j] < e {
+					j++
+				}
+				if j == len(o.elems) || o.elems[j] != e {
+					return false
+				}
+			}
+		}
+		return true
+	// A sparse s is a subset iff |s ∩ o| ≥ |s|; with the threshold at |s|
+	// both early-exit kernels stop at the first member of s not in o.
+	case o.dense:
+		return atLeastSparseDense(s.elems, o.words, s.card)
+	default:
+		return atLeastSparseSparse(s.elems, o.elems, s.card)
+	}
 }
 
 // OrCount returns |s ∪ o| without allocating, by inclusion–exclusion on

@@ -28,7 +28,6 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/charm"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/itemset"
@@ -81,7 +80,7 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 
 	all := tidset.Full(d.Size())
-	c0 := charm.ClosureOf(d, all)
+	c0 := dataset.NewCloser(d).Closure(all).Clone()
 
 	// The root node runs on the dispatcher: offer the root closure, gather
 	// its extension candidates, and order them by descending support — the
@@ -161,7 +160,7 @@ func rootUnits(d *dataset.Dataset, opts Options) int {
 		return 0
 	}
 	all := tidset.Full(d.Size())
-	c0 := charm.ClosureOf(d, all)
+	c0 := dataset.NewCloser(d).Closure(all).Clone()
 	root := &miner{meter: engine.NewMeter(context.Background(), Name, nil),
 		d: d, opts: opts, minCount: opts.FloorMin, sc: newScratch(d)}
 	root.offer(c0, all)
@@ -201,9 +200,9 @@ type miner struct {
 }
 
 // scratch is the per-worker allocation state: a pool recycling candidate
-// TID-sets of closed branches and a counting closure computer. Heap
-// entries use GC-owned compact clones, not an arena — evicted patterns
-// must be collectable, and the heap holds at most K survivors.
+// TID-sets of closed branches and a closure computer. Heap entries use
+// GC-owned compact clones, not an arena — evicted patterns must be
+// collectable, and the heap holds at most K survivors.
 type scratch struct {
 	pool   *tidset.Pool
 	closer *dataset.Closer
